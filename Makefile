@@ -89,7 +89,7 @@ cover:
 
 # The incremental-vs-rescan KMC cycle contrast (EXPERIMENTS.md).
 bench-kmc:
-	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x ./internal/kmc
 
 # The serial-vs-pooled MD step contrast on a 20^3 box (EXPERIMENTS.md).
 bench-md:
@@ -99,7 +99,7 @@ bench-md:
 # once and its `go test -bench` output is converted to JSON by cmd/benchjson.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMDStep' -benchtime 5x -benchmem ./internal/md | $(GO) run ./cmd/benchjson -out BENCH_md.json
-	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x . | $(GO) run ./cmd/benchjson -out BENCH_kmc.json
+	$(GO) test -run '^$$' -bench 'BenchmarkKMCCycle' -benchtime 20x ./internal/kmc | $(GO) run ./cmd/benchjson -out BENCH_kmc.json
 	$(GO) test -run '^$$' -bench 'BenchmarkCoupled' -benchtime 1x ./internal/couple | $(GO) run ./cmd/benchjson -out BENCH_couple.json
 
 # Regression gate against the committed MD-step baseline: fail when ns/op

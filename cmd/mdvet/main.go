@@ -1,5 +1,5 @@
 // Command mdvet is the repository's domain-specific static-analysis gate
-// (DESIGN.md §12, §17). It runs eight analyzers that encode the
+// (DESIGN.md §12, §17). It runs seven analyzers that encode the
 // determinism, collective-symmetry, and checkpoint/preemption contracts
 // the paper's results rest on:
 //
@@ -7,7 +7,6 @@
 //	maporder     order-sensitive work inside map iteration
 //	rngtime      wall-clock/global-rand use in deterministic packages
 //	hotalloc     allocation hazards in //mdvet:hot functions
-//	hashcover    struct fields invisible to the struct's Hash method
 //	spanbalance  telemetry spans that do not End on every path
 //	preemptpoll  simulation loops without a preemption boundary;
 //	             rank-guarded paths into collectives across calls
@@ -45,7 +44,6 @@ import (
 	"mdkmc/internal/analysis"
 	"mdkmc/internal/analysis/collsym"
 	"mdkmc/internal/analysis/errpanic"
-	"mdkmc/internal/analysis/hashcover"
 	"mdkmc/internal/analysis/hotalloc"
 	"mdkmc/internal/analysis/maporder"
 	"mdkmc/internal/analysis/preemptpoll"
@@ -59,7 +57,6 @@ var analyzers = []*analysis.Analyzer{
 	maporder.Analyzer,
 	rngtime.Analyzer,
 	hotalloc.Analyzer,
-	hashcover.Analyzer,
 	spanbalance.Analyzer,
 	preemptpoll.Analyzer,
 	errpanic.Analyzer,

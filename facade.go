@@ -348,10 +348,7 @@ func RunKMCCheckpointed(cfg KMCConfig, cycles int, tThreshold float64, ck Checkp
 	if tThreshold <= 0 {
 		tThreshold = math.Inf(1)
 	}
-	// The stop conditions join the digest: resuming with a different bound
-	// is a different run.
-	hash := fmt.Sprintf("%s|cycles=%d|tthr=%v", cfg.Hash(), cycles, tThreshold)
-	co, man, err := prepareCheckpoint(ck, hash, couple.StageKMC, cfg.Ranks())
+	co, man, err := prepareCheckpoint(ck, couple.KMCRunHash(&cfg, cycles, tThreshold), couple.StageKMC, cfg.Ranks())
 	if err != nil {
 		return nil, err
 	}

@@ -22,9 +22,6 @@
 //
 //	//mdvet:ignore <analyzer> <reason>   suppress findings on this or the
 //	                                     next line; the reason is mandatory
-//	//mdvet:hashexempt <reason>          exclude this struct field from the
-//	                                     hashcover contract (documented
-//	                                     restart-neutral knob)
 //	//mdvet:panics <reason>              license a bare panic on this or
 //	                                     the next line for errpanic
 //	//mdvet:hot                          (func doc) zero-alloc hot path —
@@ -100,9 +97,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // Exempted records that a would-be finding was excluded by a reasoned
-// exemption directive (//mdvet:hashexempt, //mdvet:panics), so Stats
-// counts it as suppressed alongside //mdvet:ignore hits and exemption
-// growth stays visible in lint output.
+// exemption directive (//mdvet:panics), so Stats counts it as suppressed
+// alongside //mdvet:ignore hits and exemption growth stays visible in lint
+// output.
 func (p *Pass) Exempted() {
 	if p.suppressed != nil {
 		*p.suppressed++

@@ -1,5 +1,5 @@
 // Package callgraph builds the lightweight per-package call-graph summary
-// shared by the interprocedural mdvet analyzers (hashcover, preemptpoll).
+// behind the interprocedural mdvet analyzer (preemptpoll).
 //
 // The graph records, for every function declared with a body in one
 // type-checked package, the statically resolvable calls its body makes.
@@ -142,23 +142,4 @@ func (g *Graph) FindTransitive(from *types.Func, pred func(*types.Func) bool) *t
 		return nil
 	}
 	return dfs(from)
-}
-
-// Reachable returns every function declared in this package that is
-// reachable from `from` through declared bodies, including `from` itself
-// (when it is declared here).
-func (g *Graph) Reachable(from *types.Func) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	var dfs func(fn *types.Func)
-	dfs = func(fn *types.Func) {
-		if out[fn] || g.decls[fn] == nil {
-			return
-		}
-		out[fn] = true
-		for _, e := range g.calls[fn] {
-			dfs(e.Callee)
-		}
-	}
-	dfs(from)
-	return out
 }

@@ -93,19 +93,6 @@ func TestFindTransitive(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g, _, fns := load(t)
-	r := g.Reachable(fns["M"])
-	for _, name := range []string{"M", "top", "mid", "leaf"} {
-		if !r[fns[name]] {
-			t.Errorf("Reachable(M) misses %s", name)
-		}
-	}
-	if r[fns["viaClosure"]] || r[fns["external"]] {
-		t.Errorf("Reachable(M) includes unreachable functions: %v", r)
-	}
-}
-
 func TestCalleeOfUnresolvable(t *testing.T) {
 	g, info, fns := load(t)
 	_ = g

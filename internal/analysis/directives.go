@@ -10,7 +10,6 @@ import (
 // ("//mdvet:..." with no space), which gofmt never reflows.
 const (
 	ignoreDirective     = "//mdvet:ignore"
-	hashexemptDirective = "//mdvet:hashexempt"
 	panicsDirective     = "//mdvet:panics"
 	hotDirective        = "//mdvet:hot"
 	collectiveDirective = "//mdvet:collective"
@@ -23,7 +22,7 @@ type ignoreKey struct {
 }
 
 // posDirective is one positional suppression directive (ignore,
-// hashexempt, panics). Analyzers mark it used when it actually suppresses
+// panics). Analyzers mark it used when it actually suppresses
 // a finding; a directive still unused after every analyzer ran is itself a
 // finding (stale suppression — see Stale).
 type posDirective struct {
@@ -38,11 +37,9 @@ type Directives struct {
 	// A directive on line L suppresses findings on L (trailing comment)
 	// and L+1 (full-line comment above the flagged statement).
 	ignores map[ignoreKey]map[string]*posDirective
-	// hashexempt and panics are positional like ignore but analyzer-bound:
-	// hashexempt excludes a struct field from the hashcover contract,
-	// panics licenses a bare panic for errpanic.
-	hashexempt map[ignoreKey]*posDirective
-	panics     map[ignoreKey]*posDirective
+	// panics is positional like ignore but analyzer-bound: it licenses a
+	// bare panic for errpanic.
+	panics map[ignoreKey]*posDirective
 	// hot, collective, and boundary hold the positions of annotated
 	// FuncDecls.
 	hot        map[token.Pos]bool
@@ -59,7 +56,6 @@ type Directives struct {
 func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 	d := &Directives{
 		ignores:    map[ignoreKey]map[string]*posDirective{},
-		hashexempt: map[ignoreKey]*posDirective{},
 		panics:     map[ignoreKey]*posDirective{},
 		hot:        map[token.Pos]bool{},
 		collective: map[token.Pos]bool{},
@@ -94,7 +90,7 @@ func NewDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 // directiveName returns the matching directive prefix of a comment, or "".
 func directiveName(text string) string {
 	for _, p := range []string{
-		ignoreDirective, hashexemptDirective, panicsDirective,
+		ignoreDirective, panicsDirective,
 		hotDirective, collectiveDirective, boundaryDirective,
 	} {
 		if text == p || strings.HasPrefix(text, p+" ") {
@@ -126,7 +122,7 @@ func (d *Directives) parseComment(fset *token.FileSet, c *ast.Comment) {
 		pd := &posDirective{kind: ignoreDirective + " " + fields[0], pos: pos}
 		d.ignores[key][fields[0]] = pd
 		d.positional = append(d.positional, pd)
-	case hashexemptDirective, panicsDirective:
+	case panicsDirective:
 		if len(fields) < 1 {
 			d.bad = append(d.bad, Diagnostic{
 				Analyzer: "mdvet",
@@ -135,13 +131,8 @@ func (d *Directives) parseComment(fset *token.FileSet, c *ast.Comment) {
 			})
 			return
 		}
-		key := ignoreKey{file: pos.Filename, line: pos.Line}
 		pd := &posDirective{kind: name, pos: pos}
-		if name == hashexemptDirective {
-			d.hashexempt[key] = pd
-		} else {
-			d.panics[key] = pd
-		}
+		d.panics[ignoreKey{file: pos.Filename, line: pos.Line}] = pd
 		d.positional = append(d.positional, pd)
 	}
 }
@@ -161,24 +152,14 @@ func (d *Directives) Ignored(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// HashExempt reports whether an //mdvet:hashexempt directive covers pos
-// (same line or the line above, like ignore), marking it used.
-func (d *Directives) HashExempt(pos token.Position) bool {
-	return d.positionalAt(d.hashexempt, pos)
-}
-
 // PanicAllowed reports whether an //mdvet:panics directive covers pos
 // (same line or the line above, like ignore), marking it used.
 func (d *Directives) PanicAllowed(pos token.Position) bool {
-	return d.positionalAt(d.panics, pos)
-}
-
-func (d *Directives) positionalAt(m map[ignoreKey]*posDirective, pos token.Position) bool {
 	if d == nil {
 		return false
 	}
 	for _, line := range [2]int{pos.Line, pos.Line - 1} {
-		if pd := m[ignoreKey{file: pos.Filename, line: line}]; pd != nil {
+		if pd := d.panics[ignoreKey{file: pos.Filename, line: line}]; pd != nil {
 			pd.used = true
 			return true
 		}

@@ -68,14 +68,12 @@ func f() {
 	}
 }
 
-func TestHashExemptAndPanicsRequireReason(t *testing.T) {
+func TestPanicsRequireReason(t *testing.T) {
 	cases := []struct {
 		name string
 		text string
 		bad  string // expected malformed-message fragment, "" for valid
 	}{
-		{"hashexempt bare", "//mdvet:hashexempt", "malformed //mdvet:hashexempt"},
-		{"hashexempt with reason", "//mdvet:hashexempt derived at runtime, never hashed", ""},
 		{"panics bare", "//mdvet:panics", "malformed //mdvet:panics"},
 		{"panics with reason", "//mdvet:panics unreachable: caller validated the range", ""},
 	}
@@ -96,13 +94,8 @@ func TestHashExemptAndPanicsRequireReason(t *testing.T) {
 	}
 }
 
-func TestHashExemptAndPanicsCoverage(t *testing.T) {
+func TestPanicsCoverage(t *testing.T) {
 	d := parseDirectives(t, `package p
-
-type s struct {
-	//mdvet:hashexempt runtime knob
-	a int
-}
 
 func f() {
 	//mdvet:panics unreachable by construction
@@ -110,20 +103,17 @@ func f() {
 }
 `)
 	at := func(line int) token.Position { return token.Position{Filename: "fix.go", Line: line} }
-	if !d.HashExempt(at(4)) || !d.HashExempt(at(5)) {
-		t.Error("hashexempt must cover its own line and the next")
-	}
-	if d.HashExempt(at(6)) {
-		t.Error("hashexempt must not leak past the next line")
-	}
-	if !d.PanicAllowed(at(9)) || !d.PanicAllowed(at(10)) {
+	if !d.PanicAllowed(at(4)) || !d.PanicAllowed(at(5)) {
 		t.Error("panics must cover its own line and the next")
 	}
-	if d.PanicAllowed(at(8)) {
+	if d.PanicAllowed(at(3)) {
 		t.Error("panics must not cover the line above")
 	}
-	if d.PanicAllowed(at(4)) || d.HashExempt(at(9)) {
-		t.Error("the two directives must not suppress each other")
+	if d.PanicAllowed(at(6)) {
+		t.Error("panics must not leak past the next line")
+	}
+	if d.Ignored("errpanic", at(5)) {
+		t.Error("a panics directive must not act as an ignore")
 	}
 }
 
@@ -135,7 +125,7 @@ func f() {
 	_ = 1
 	//mdvet:ignore maporder never fires
 	_ = 2
-	//mdvet:hashexempt never consulted
+	//mdvet:panics never consulted
 	_ = 3
 	//mdvet:panics consulted below
 	_ = 4
@@ -143,7 +133,7 @@ func f() {
 `)
 	at := func(line int) token.Position { return token.Position{Filename: "fix.go", Line: line} }
 	// Simulate the analyzers: collsym suppresses at line 5, errpanic
-	// consults line 11; the maporder ignore and the hashexempt stay unused.
+	// consults line 11; the maporder ignore and the first panics stay unused.
 	if !d.Ignored("collsym", at(5)) {
 		t.Fatal("collsym ignore should cover line 5")
 	}
@@ -157,8 +147,8 @@ func f() {
 	if stale[0].Pos.Line != 6 || !strings.Contains(stale[0].Message, "stale //mdvet:ignore maporder") {
 		t.Errorf("stale[0] = %v, want the unused maporder ignore at line 6", stale[0])
 	}
-	if stale[1].Pos.Line != 8 || !strings.Contains(stale[1].Message, "stale //mdvet:hashexempt") {
-		t.Errorf("stale[1] = %v, want the unused hashexempt at line 8", stale[1])
+	if stale[1].Pos.Line != 8 || !strings.Contains(stale[1].Message, "stale //mdvet:panics") {
+		t.Errorf("stale[1] = %v, want the unused panics at line 8", stale[1])
 	}
 }
 

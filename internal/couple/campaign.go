@@ -13,7 +13,7 @@ package couple
 // across iterations, so cascade i+1 strikes the damaged lattice; the
 // coarse-scale defect population persists too, growing by each iteration's
 // harvest. The whole campaign is restartable end-to-end: manifests (schema
-// v3) record the campaign iteration, the consumed dose, and the
+// v3 onward) record the campaign iteration, the consumed dose, and the
 // spectrum-RNG cursor, and a resumed run replays into a byte-identical
 // trajectory, on the same topology or re-sharded onto a different one.
 
@@ -108,16 +108,6 @@ func (s *CampaignSpec) validate() error {
 	return nil
 }
 
-// hashString digests the trajectory-determining spec fields for Config.Hash.
-func (s *CampaignSpec) hashString() string {
-	src := fmt.Sprintf("fixed:%v", s.Energy)
-	if s.Spectrum != nil {
-		src = "spectrum:" + s.Spectrum.Digest()
-	}
-	return fmt.Sprintf("iters:%d,dose:%v,%s,ed:%v,sep:%v,max:%d,okmc:%v,okev:%d",
-		s.Iters, s.DoseIncrement, src, s.Ed, s.MinSeparation, s.MaxRecoils, s.OKMC, s.OKMCEvents)
-}
-
 // NRTDisplacements is the NRT (Norgett-Robinson-Torrens) displacement count
 // ν(E) of a recoil with damage energy E (eV) at displacement threshold ed:
 // 0 below ed, 1 in the single-displacement window, 0.8·E/(2·ed) above it.
@@ -162,8 +152,8 @@ type IterationSummary struct {
 	MCTime     float64 // MC seconds accumulated this iteration
 }
 
-// CampaignState is the campaign block of a schema-v3 manifest: everything
-// beyond the MD rank files that a resumed campaign needs.
+// CampaignState is the campaign block of a manifest (schema v3 onward):
+// everything beyond the MD rank files that a resumed campaign needs.
 type CampaignState struct {
 	// Iter counts fully completed iterations; the snapshot's Step is
 	// Iter·MD.Steps plus the MD progress of the iteration in flight.

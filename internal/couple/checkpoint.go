@@ -3,6 +3,7 @@ package couple
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -63,14 +64,21 @@ const (
 // onto a different rank count or slab layout at restart (DESIGN.md §14);
 // 3 adds the campaign block — iteration count, dose ledger, spectrum-RNG
 // cursor, defect population — for dose-accumulation campaigns (DESIGN.md
-// §15). Readers accept 2 and 3, so pre-campaign snapshots stay loadable.
+// §15); 4 changes every ConfigHash to the wholesale digest of the physics
+// half (internal/digest). A pre-4 snapshot can never match a current hash,
+// so Latest refuses it by version instead of skipping it as damaged, which
+// would silently turn a restart into a fresh run.
 const (
-	manifestVersion    = 3
-	minManifestVersion = 2
+	manifestVersion    = 4
+	minManifestVersion = 4
 	manifestName       = "manifest.json"
 	tmpDirName         = ".tmp-ckpt"
 	defaultKeep        = 2
 )
+
+// errOldManifest marks a committed snapshot written under an older hash
+// scheme: intact, but unusable by this build.
+var errOldManifest = errors.New("written under an older config-hash scheme")
 
 // MDSummary carries the MD stage's contribution to the coupled result
 // through a KMC-stage manifest, so a run resumed after the handoff never
@@ -132,7 +140,8 @@ var ckptDirRe = regexp.MustCompile(`^ckpt-(\d{6})$`)
 // in favor of older complete ones, and every rejection is logged with its
 // reason — silent fallback once hid real data loss from operators. A
 // manifest whose ConfigHash differs from hash is an error: resuming under a
-// diverging configuration would silently change the trajectory.
+// diverging configuration would silently change the trajectory. So is a
+// manifest of an older version, whose hash can never match.
 func Latest(dir, hash string) (*Manifest, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -152,6 +161,9 @@ func Latest(dir, hash string) (*Manifest, error) {
 	for _, seq := range seqs {
 		name := fmt.Sprintf("ckpt-%06d", seq)
 		man, err := loadManifest(filepath.Join(dir, name))
+		if errors.Is(err, errOldManifest) {
+			return nil, err
+		}
 		if err != nil {
 			// Damaged snapshot; fall back to an older one, but say so — the
 			// operator should know a committed snapshot went bad.
@@ -176,6 +188,10 @@ func loadManifest(dir string) (*Manifest, error) {
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, fmt.Errorf("couple: decoding manifest: %w", err)
+	}
+	if man.Version >= 1 && man.Version < minManifestVersion {
+		return nil, fmt.Errorf("couple: %s has manifest version %d, %w; this build resumes only version %d",
+			filepath.Base(dir), man.Version, errOldManifest, manifestVersion)
 	}
 	if man.Version < minManifestVersion || man.Version > manifestVersion {
 		return nil, fmt.Errorf("couple: manifest version %d, want %d..%d",

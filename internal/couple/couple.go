@@ -7,12 +7,11 @@
 package couple
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 
 	"mdkmc/internal/cluster"
+	"mdkmc/internal/digest"
 	"mdkmc/internal/kmc"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/md"
@@ -44,7 +43,9 @@ type Config struct {
 	// TThreshold is the MC time threshold (s); the stage stops at whichever
 	// of KMCCycles/TThreshold comes first.
 	TThreshold float64
-	Protocol   kmc.Protocol
+	// Protocol is the KMC stage's ghost-synchronization strategy; all three
+	// yield the same trajectory (DESIGN.md §7), so Hash leaves it out.
+	Protocol kmc.Protocol
 
 	// Campaign configures the high-dose damage-accumulation driver
 	// (campaign.go); the zero value leaves Run's single-cascade pipeline
@@ -55,15 +56,12 @@ type Config struct {
 	// A restart may target a different topology than the snapshot's writer:
 	// the manifest records the source decomposition and the re-shard loader
 	// re-slices the global state for cfg.MD.Grid (DESIGN.md §14).
-	//mdvet:hashexempt snapshot cadence must not pin a checkpoint to the schedule that produced it
 	Checkpoint Checkpoint
 	// Rebalance configures the telemetry-calibrated dynamic load balancer
 	// (rebalance.go). A topology knob excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): repartitioning redistributes work without changing the trajectory
 	Rebalance Rebalance
 	// Faults is the injected-failure plan for recovery testing; the
 	// MDKMC_FAULT environment variable appends to it.
-	//mdvet:hashexempt injected-failure plan is runtime machinery: a snapshot must not be pinned to the crash schedule that produced it
 	Faults []mpi.Fault
 
 	// Preempt, when non-nil, lets another goroutine request checkpoint-backed
@@ -71,13 +69,11 @@ type Config struct {
 	// final snapshot through Checkpoint, and returns ErrPreempted
 	// (preempt.go). Runtime machinery like Faults — excluded from Hash, so
 	// the evicted run resumes under the same configuration digest.
-	//mdvet:hashexempt eviction machinery: the evicted run must resume under the same configuration digest
 	Preempt *Preemptor
 
 	// Telemetry configures the observability layer (internal/telemetry). It
 	// is a pure speed/observability knob like MD.Workers: Hash excludes it,
 	// and an enabled run is bit-identical to a disabled one (test-gated).
-	//mdvet:hashexempt observability knob: an instrumented run is bit-identical to an uninstrumented one (test-gated)
 	Telemetry telemetry.Options
 }
 
@@ -112,25 +108,38 @@ func (cfg *Config) normalize() {
 	}
 }
 
-// Hash digests every trajectory-determining field of the coupled run: the
-// MD stage hash, the derived KMC stage hash, and the stop conditions (after
-// default normalization, so the zero values hash like their defaults).
-// Checkpoint options and the fault plan are excluded — they must not pin a
-// snapshot to the cadence or crash schedule that produced it.
+// Hash digests the trajectory-determining half of the coupled run as one
+// value: the MD physics, the derived KMC physics, the stop conditions and
+// the campaign spec, the last three after default normalization so zero
+// values hash like their defaults. Everything else in Config is runtime
+// machinery — checkpoint cadence, rebalancing, fault plans, preemption,
+// telemetry and the bit-identical Protocol — and must not pin a snapshot to
+// the schedule that produced it.
 func (cfg *Config) Hash() string {
 	n := *cfg
 	n.normalize()
-	kcfg := n.kmcConfig()
-	s := fmt.Sprintf("couple|md=%s|kmc=%s|cycles=%d|tthr=%v",
-		n.MD.Hash(), kcfg.Hash(), n.KMCCycles, n.TThreshold)
-	// Campaign fields join the digest only when campaign mode is on, so
-	// every pre-campaign snapshot hash is unchanged.
-	if n.Campaign.Iters > 0 {
-		n.Campaign.normalize(n.MD.A)
-		s += "|campaign=" + n.Campaign.hashString()
+	n.Campaign.normalize(n.MD.A)
+	return digest.Of(struct {
+		MD         md.Physics
+		KMC        kmc.Physics
+		KMCCycles  int
+		TThreshold float64
+		Campaign   CampaignSpec
+	}{n.MD.Physics, n.kmcConfig().Physics, n.KMCCycles, n.TThreshold, n.Campaign})
+}
+
+// KMCRunHash is the checkpoint digest of a standalone KMC run: the KMC
+// physics plus its stop conditions, since resuming with a different bound
+// is a different run. A non-positive tThreshold means no threshold.
+func KMCRunHash(cfg *kmc.Config, cycles int, tThreshold float64) string {
+	if tThreshold <= 0 {
+		tThreshold = math.Inf(1)
 	}
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:8])
+	return digest.Of(struct {
+		KMC        kmc.Physics
+		Cycles     int
+		TThreshold float64
+	}{cfg.Physics, cycles, tThreshold})
 }
 
 // Result summarizes a coupled run.

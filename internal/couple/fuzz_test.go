@@ -2,6 +2,8 @@ package couple
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"os"
@@ -14,8 +16,10 @@ import (
 // metadata: truncated writes, garbled bytes, dropped or mutated fields. The
 // contract under fuzz is exactly the operator-facing one — loadManifest
 // must return a descriptive couple: error (never panic, never accept), and
-// Latest must skip the damaged snapshot rather than fail the restart. The
-// seed corpus starts from manifests a real coupled run committed.
+// Latest must skip the damaged snapshot rather than fail the restart —
+// unless the bytes decode to an older manifest version, which Latest must
+// refuse with an error naming that version. The seed corpus starts from
+// manifests a real coupled run committed.
 func FuzzManifest(f *testing.F) {
 	cfg := coupledConfig()
 	dir := f.TempDir()
@@ -45,16 +49,17 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(""))                                                    // empty file
 	f.Add([]byte("{torn write"))                                         // invalid JSON
 	f.Add([]byte("null"))                                                // decodes to zero Manifest
-	f.Add([]byte(`{"Version":2,"Stage":"md","Step":1,"Ranks":0}`))       // no ranks
-	f.Add([]byte(`{"Version":2,"Stage":"warp","Step":1,"Ranks":1}`))     // unknown stage
+	f.Add([]byte(`{"Version":4,"Stage":"md","Step":1,"Ranks":0}`))       // no ranks
+	f.Add([]byte(`{"Version":4,"Stage":"warp","Step":1,"Ranks":1}`))     // unknown stage
 	f.Add([]byte(`{"Version":9,"Stage":"md","Step":1,"Ranks":1}`))       // future version
-	f.Add([]byte(`{"Version":2,"Stage":"md","Step":-3,"Ranks":1}`))      // negative step
+	f.Add([]byte(`{"Version":4,"Stage":"md","Step":-3,"Ranks":1}`))      // negative step
 	f.Add(bytes.Replace(real, []byte(`"Stage"`), []byte(`"Stale"`), 1))  // field dropped
 	f.Add(bytes.Replace(real, []byte(`"Ranks"`), []byte(`"Pranks"`), 1)) // field dropped
-	f.Add([]byte(`{"Version":2,"Stage":"md","Step":1,"Ranks":4,` +       // topology mismatch
+	f.Add([]byte(`{"Version":4,"Stage":"md","Step":1,"Ranks":4,` +       // topology mismatch
 		`"Topology":{"Grid":[3,1,1]}}`))
-	f.Add([]byte(`{"Version":2,"Stage":"md","Step":1,"Ranks":2,` + // short cuts
+	f.Add([]byte(`{"Version":4,"Stage":"md","Step":1,"Ranks":2,` + // short cuts
 		`"Topology":{"Grid":[2,1,1],"Cuts":[[0,22],null,null]}}`))
+	f.Add(bytes.Replace(real, []byte(`"Version": 4`), []byte(`"Version": 3`), 1)) // intact older version
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prev := log.Writer()
@@ -81,8 +86,17 @@ func FuzzManifest(f *testing.F) {
 		if msg := err.Error(); !strings.Contains(msg, "couple:") {
 			t.Errorf("rejection not a descriptive couple: error: %v", err)
 		}
-		// The damaged snapshot must be skipped, not poison the whole dir.
 		got, err := Latest(dir, "any-hash")
+		var decoded Manifest
+		if json.Unmarshal(data, &decoded) == nil && decoded.Version >= 1 && decoded.Version < manifestVersion {
+			// An intact older snapshot must stop the restart with its
+			// version named, not be skipped into a silent fresh run.
+			if want := fmt.Sprintf("version %d", decoded.Version); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Latest on a v%d manifest: man=%+v err=%v, want an error naming %q", decoded.Version, got, err, want)
+			}
+			return
+		}
+		// The damaged snapshot must be skipped, not poison the whole dir.
 		if err != nil || got != nil {
 			t.Errorf("Latest did not skip the damaged snapshot: man=%+v err=%v", got, err)
 		}

@@ -1,6 +1,7 @@
 package couple
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -186,6 +187,33 @@ func TestLatestSkipsDamagedSnapshot(t *testing.T) {
 	got, err := Latest(dir, cfg.Hash())
 	if err != nil || got == nil || got.Seq != man.Seq {
 		t.Errorf("Latest with damaged newer dir = %+v, %v; want seq %d", got, err, man.Seq)
+	}
+}
+
+// TestRestartRefusesOldManifestVersion: an intact v3 snapshot can never
+// match a current hash. Restarting from it must fail naming the version,
+// not skip it and start a fresh run.
+func TestRestartRefusesOldManifestVersion(t *testing.T) {
+	cfg := coupledConfig()
+	cfg.Checkpoint = Checkpoint{Dir: t.TempDir(), Every: 60}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	man, err := Latest(cfg.Checkpoint.Dir, cfg.Hash())
+	if err != nil || man == nil {
+		t.Fatalf("no baseline snapshot: %v", err)
+	}
+	path := filepath.Join(man.dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = os.WriteFile(path, bytes.Replace(data, []byte(`"Version": 4`), []byte(`"Version": 3`), 1), 0o666)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Checkpoint.Restart = true
+	if res, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "manifest version 3") {
+		t.Fatalf("restart from a v3 snapshot: res=%v err=%v, want an error naming version 3", res, err)
 	}
 }
 

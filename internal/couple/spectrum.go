@@ -2,7 +2,6 @@ package couple
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math"
@@ -132,17 +131,6 @@ func (s *Spectrum) Mean() float64 {
 		sum += w * s.Energies[i]
 	}
 	return sum / total
-}
-
-// Digest returns a short stable hash of the spectrum's entries, folded into
-// the campaign config hash so a restart with a different spectrum file is
-// refused.
-func (s *Spectrum) Digest() string {
-	h := sha256.New()
-	for i := range s.Energies {
-		fmt.Fprintf(h, "%v %v\n", s.Energies[i], s.Weights[i])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
 // sample maps one uniform draw u in [0,1) to an energy by inverting the

@@ -9,10 +9,10 @@
 package kmc
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
+	"math"
 
+	"mdkmc/internal/digest"
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/units"
@@ -47,18 +47,11 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
-// Config describes a KMC run.
-type Config struct {
+// Physics is the trajectory-determining half of a Config. Hash digests it
+// wholesale, so no field can be left out of the checkpoint digest.
+type Physics struct {
 	Cells [3]int
-	//mdvet:hashexempt topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
-	Grid [3]int
-	// Cuts, when a dimension is non-nil, are explicit slab boundaries of the
-	// process grid (lattice.NewGridCuts) — set by the repartitioner to
-	// concentrate ranks on the defect-dense region. A topology knob like
-	// Grid, excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
-	Cuts [3][]int
-	A    float64
+	A     float64
 
 	Temperature float64 // K
 	Nu          float64 // attempt frequency (1/s)
@@ -83,87 +76,98 @@ type Config struct {
 	EmCu float64
 
 	Seed uint64
-	//mdvet:hashexempt bit-identical communication knob (DESIGN.md §7): all three ghost protocols yield the same trajectory
-	Protocol Protocol
-
-	// FullRescan disables the incremental event-rate cache and re-enumerates
-	// every candidate hop from scratch at each selection — the slow
-	// reference mode the equivalence tests and benchmarks compare against.
-	// The environment variable MDKMC_KMC_FULL_RESCAN=1 forces it on without
-	// a config change. Trajectories are bit-identical either way.
-	//mdvet:hashexempt bit-identical reference mode (DESIGN.md §8): the rescan cache changes speed, never the trajectory
-	FullRescan bool
 
 	// DtFactor scales the synchronous cycle window dt = DtFactor / R_max;
 	// ~1 event per subdomain per cycle at the default of 1.
 	DtFactor float64
 }
 
+// Config describes a KMC run: the Physics that determines the trajectory
+// plus the runtime fields that only decide how the work is laid out and
+// communicated.
+type Config struct {
+	Physics
+
+	// Grid is the process grid. Like Cuts it is a topology knob (DESIGN.md
+	// §14): the checkpoint manifest records it and the re-shard loader
+	// handles a change.
+	Grid [3]int
+	// Cuts, when a dimension is non-nil, are explicit slab boundaries of the
+	// process grid (lattice.NewGridCuts) — set by the repartitioner to
+	// concentrate ranks on the defect-dense region.
+	Cuts [3][]int
+
+	// Protocol is the ghost-synchronization strategy. All three yield the
+	// same trajectory on every grid (DESIGN.md §7).
+	Protocol Protocol
+
+	// fullRescan disables the incremental event-rate cache and re-enumerates
+	// every candidate hop from scratch at each selection — the slow
+	// reference the in-package equivalence tests and benchmarks compare
+	// against. Trajectories are bit-identical either way (DESIGN.md §8).
+	fullRescan bool
+}
+
 // DefaultConfig returns the paper's KMC setup at laptop scale.
 func DefaultConfig() Config {
 	return Config{
-		Cells:                [3]int{12, 12, 12},
-		Grid:                 [3]int{1, 1, 1},
-		A:                    units.LatticeConstantFe,
-		Temperature:          600,
-		Nu:                   units.AttemptFrequency,
-		Em:                   units.VacancyMigrationEnergyFe,
-		VacancyConcentration: 4.5e-5,
-		Seed:                 1,
-		Protocol:             OnDemand,
-		DtFactor:             1,
+		Physics: Physics{
+			Cells:                [3]int{12, 12, 12},
+			A:                    units.LatticeConstantFe,
+			Temperature:          600,
+			Nu:                   units.AttemptFrequency,
+			Em:                   units.VacancyMigrationEnergyFe,
+			VacancyConcentration: 4.5e-5,
+			Seed:                 1,
+			DtFactor:             1,
+		},
+		Grid:     [3]int{1, 1, 1},
+		Protocol: OnDemand,
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float must be finite: the
+// checks are written as conditions a valid value meets, which NaN fails.
 func (c *Config) Validate() error {
 	for d := 0; d < 3; d++ {
 		if c.Cells[d] <= 0 || c.Grid[d] <= 0 {
 			return fmt.Errorf("kmc: non-positive cells %v or grid %v", c.Cells, c.Grid)
 		}
 	}
-	if c.A <= 0 {
-		return fmt.Errorf("kmc: non-positive lattice constant")
+	if !positiveFinite(c.A) {
+		return fmt.Errorf("kmc: lattice constant %v is not positive and finite", c.A)
 	}
-	if c.Temperature <= 0 {
-		return fmt.Errorf("kmc: non-positive temperature")
+	if !positiveFinite(c.Temperature) {
+		return fmt.Errorf("kmc: temperature %v is not positive and finite", c.Temperature)
 	}
-	if c.Nu <= 0 || c.Em <= 0 {
-		return fmt.Errorf("kmc: non-positive rate parameters nu=%v em=%v", c.Nu, c.Em)
+	if !positiveFinite(c.Nu) || !positiveFinite(c.Em) {
+		return fmt.Errorf("kmc: rate parameters nu=%v em=%v are not positive and finite", c.Nu, c.Em)
 	}
-	if c.VacancyConcentration < 0 || c.VacancyConcentration > 0.5 {
+	if !(c.VacancyConcentration >= 0 && c.VacancyConcentration <= 0.5) {
 		return fmt.Errorf("kmc: vacancy concentration %v out of range", c.VacancyConcentration)
 	}
-	if c.CuConcentration < 0 || c.CuConcentration > 0.5 {
+	if !(c.CuConcentration >= 0 && c.CuConcentration <= 0.5) {
 		return fmt.Errorf("kmc: copper concentration %v out of range", c.CuConcentration)
 	}
-	if c.EmCu < 0 {
-		return fmt.Errorf("kmc: negative copper migration barrier %v", c.EmCu)
+	if !(c.EmCu >= 0) || math.IsInf(c.EmCu, 1) {
+		return fmt.Errorf("kmc: copper migration barrier %v is not non-negative and finite", c.EmCu)
 	}
-	if c.DtFactor <= 0 {
-		return fmt.Errorf("kmc: non-positive dt factor")
+	if !positiveFinite(c.DtFactor) {
+		return fmt.Errorf("kmc: dt factor %v is not positive and finite", c.DtFactor)
 	}
 	return nil
 }
 
-// Hash returns a short stable digest of every trajectory-determining
-// field. Checkpoint manifests record it so a restart with a diverging
-// configuration is refused instead of silently producing a different
-// trajectory. Protocol and FullRescan are excluded: both are documented
-// bit-identical knobs (DESIGN.md §7/§8), so a run may legally resume under
-// a different communication protocol or rescan mode. Grid and Cuts are also
-// excluded (DESIGN.md §14): topology is restart-compatible-but-checked —
-// recorded in the checkpoint manifest and handled by the re-shard loader
-// rather than refused. The explicit Vacancies/CuSites lists are hashed in
-// full — they seed the occupancy.
-func (c *Config) Hash() string {
-	s := fmt.Sprintf("kmc|cells=%v|a=%v|T=%v|nu=%v|em=%v|cv=%v|vac=%v|cuc=%v|cusites=%v|emcu=%v|seed=%d|dtf=%v",
-		c.Cells, c.A, c.Temperature, c.Nu, c.Em,
-		c.VacancyConcentration, c.Vacancies, c.CuConcentration, c.CuSites,
-		c.EmCu, c.Seed, c.DtFactor)
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:8])
-}
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
+// Hash returns a short stable digest of the Physics half, the explicit
+// Vacancies/CuSites lists included. Checkpoint manifests record it so a
+// restart with a diverging configuration is refused instead of silently
+// producing a different trajectory. The runtime half is outside it by
+// construction: Protocol and the rescan reference are bit-identical
+// (DESIGN.md §7, §8), and Grid and Cuts are restart-compatible-but-checked
+// topology (DESIGN.md §14).
+func (c *Config) Hash() string { return digest.Of(c.Physics) }
 
 // Ranks returns the process count the configuration requires.
 func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }

@@ -59,8 +59,13 @@ func (u *unpacker) i32() int32 {
 }
 func (u *unpacker) done() bool { return u.off >= len(u.buf) }
 
-// exchangeGetSector refreshes the read halo of sector sec from the owning
-// ranks — the first half of the traditional protocol (paper Figure 8(b)).
+// haloPlan is the traditional get plan that covers the whole ghost region,
+// after the eight per-sector plans.
+const haloPlan = 8
+
+// exchangeGetSector refreshes the read halo of sector sec (or, for
+// haloPlan, the whole ghost region) from the owning ranks — the first half
+// of the traditional protocol (paper Figure 8(b)).
 // The complete halo band travels regardless of what actually changed; that
 // redundancy is precisely what Figure 12 measures.
 func (st *State) exchangeGetSector(sec int) {

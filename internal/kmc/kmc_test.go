@@ -216,10 +216,14 @@ func TestProtocolsProduceIdenticalTrajectories(t *testing.T) {
 	// The headline correctness property of the on-demand strategy: it is a
 	// pure communication optimization, so the trajectory must be identical
 	// site-by-site with the traditional protocol, in serial and parallel.
-	for _, grid := range [][3]int{{1, 1, 1}, {2, 1, 1}} {
+	// Grids split in more than one dimension are where a cell has ghost
+	// copies on ranks other than its owner.
+	for _, c := range [][4]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}, {2, 2, 1, 1}, {2, 2, 2, 1}} {
+		grid, cu := [3]int(c[:3]), 0.02*float64(c[3]) // c[3] == 1: Fe-Cu
 		cfg := testConfig()
-		cfg.Cells = [3]int{22, 11, 11}
+		cfg.Cells = [3]int{22, 11 * grid[1], 11 * grid[2]}
 		cfg.Grid = grid
+		cfg.CuConcentration = cu
 		snapshots := map[Protocol]map[int]uint8{}
 		times := map[Protocol]float64{}
 		for _, proto := range []Protocol{Traditional, OnDemand, OnDemandOneSided} {
@@ -252,7 +256,7 @@ func TestProtocolsProduceIdenticalTrajectories(t *testing.T) {
 		for _, proto := range []Protocol{OnDemand, OnDemandOneSided} {
 			other := snapshots[proto]
 			if len(other) != len(base) {
-				t.Fatalf("grid %v %v: %d sites vs %d", grid, proto, len(other), len(base))
+				t.Fatalf("grid %v cu=%v %v: %d sites vs %d", grid, cu, proto, len(other), len(base))
 			}
 			diff := 0
 			for k, v := range base {
@@ -261,10 +265,10 @@ func TestProtocolsProduceIdenticalTrajectories(t *testing.T) {
 				}
 			}
 			if diff != 0 {
-				t.Errorf("grid %v: %v differs from traditional at %d sites", grid, proto, diff)
+				t.Errorf("grid %v cu=%v: %v differs from traditional at %d sites", grid, cu, proto, diff)
 			}
 			if times[proto] != times[Traditional] {
-				t.Errorf("grid %v: %v time %v vs traditional %v", grid, proto,
+				t.Errorf("grid %v cu=%v: %v time %v vs traditional %v", grid, cu, proto,
 					times[proto], times[Traditional])
 			}
 		}

@@ -2,7 +2,6 @@ package kmc
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"mdkmc/internal/eam"
@@ -50,16 +49,17 @@ type State struct {
 
 	// Ghost plans. The traditional protocol uses per-sector plans: before a
 	// sector it refreshes the sector's read halo (getRecv/getSend), after it
-	// pushes back the sector's one-cell write band (putSend/putRecv). The
+	// pushes back the sector's one-cell write band (putSend/putRecv). Plan
+	// haloPlan gets the whole ghost region and has no write band. The
 	// on-demand protocol ignores them and routes dirty sites by interest.
 	peers   []int
-	getRecv [8]map[int][]int // owner -> my ghost cell bases to refresh
-	getSend [8]map[int][]int // requester -> my owned cell bases to serve
-	putSend [8]map[int][]int // owner -> my ghost cell bases I may have written
-	putRecv [8]map[int][]int // writer -> my owned cell bases it may write
-	groups  map[int][]int    // local base site -> all local images of the wrapped cell
-	wrapped map[int]int      // wrapped global cell key -> one local base index
-	dirty   map[int]bool     // canonical local site indices changed since last flush
+	getRecv [haloPlan + 1]map[int][]int // owner -> my ghost cell bases to refresh
+	getSend [haloPlan + 1]map[int][]int // requester -> my owned cell bases to serve
+	putSend [haloPlan + 1]map[int][]int // owner -> my ghost cell bases I may have written
+	putRecv [haloPlan + 1]map[int][]int // writer -> my owned cell bases it may write
+	groups  map[int][]int               // local base site -> all local images of the wrapped cell
+	wrapped map[int]int                 // wrapped global cell key -> one local base index
+	dirty   map[int]bool                // canonical local site indices changed since last flush
 	win     *mpi.Win
 
 	rng *rng.Source
@@ -154,7 +154,7 @@ func NewState(cfg Config, comm *mpi.Comm) (*State, error) {
 		rateCache:  make(map[int]*vacCache),
 		dirty:      make(map[int]bool),
 		rng:        rng.New(cfg.Seed),
-		fullRescan: cfg.FullRescan || os.Getenv("MDKMC_KMC_FULL_RESCAN") == "1",
+		fullRescan: cfg.fullRescan,
 	}
 	st.en = energetics{pot: pot, shells: newShellTables(pot, tab)}
 	st.dependReach = st.en.dependencyReach(reach)
@@ -250,7 +250,7 @@ func (st *State) buildPlans() error {
 	me := comm.Rank()
 	st.groups = make(map[int][]int)
 	st.wrapped = make(map[int]int)
-	for sec := 0; sec < 8; sec++ {
+	for sec := 0; sec <= haloPlan; sec++ {
 		st.getRecv[sec] = make(map[int][]int)
 		st.getSend[sec] = make(map[int][]int)
 		st.putSend[sec] = make(map[int][]int)
@@ -291,9 +291,9 @@ func (st *State) buildPlans() error {
 		wrapped lattice.Coord
 		mine    int
 	}
-	getNeeds := [8]map[int][]need{}
-	putOffers := [8]map[int][]need{}
-	for sec := 0; sec < 8; sec++ {
+	getNeeds := [haloPlan + 1]map[int][]need{}
+	putOffers := [haloPlan + 1]map[int][]need{}
+	for sec := 0; sec <= haloPlan; sec++ {
 		getNeeds[sec] = make(map[int][]need)
 		putOffers[sec] = make(map[int][]need)
 	}
@@ -312,6 +312,9 @@ func (st *State) buildPlans() error {
 				}
 				peerSet[owner] = true
 				local := box.LocalIndex(c)
+				if st.Cfg.Protocol == Traditional {
+					getNeeds[haloPlan][owner] = append(getNeeds[haloPlan][owner], need{w, local})
+				}
 				for sec := 0; sec < 8; sec++ {
 					lo, hi := st.sectorBounds(sec)
 					d := distToBox(c, lo, hi)
@@ -330,7 +333,7 @@ func (st *State) buildPlans() error {
 	}
 	sort.Ints(st.peers)
 
-	// Handshake: one message per peer describing, per sector, the cells we
+	// Handshake: one message per peer describing, per plan, the cells we
 	// will read from them (they must send) and write at them (they must
 	// receive).
 	packCells := func(p *packer, list []need) {
@@ -343,7 +346,7 @@ func (st *State) buildPlans() error {
 	}
 	for _, r := range st.peers {
 		var p packer
-		for sec := 0; sec < 8; sec++ {
+		for sec := 0; sec <= haloPlan; sec++ {
 			packCells(&p, getNeeds[sec][r])
 			packCells(&p, putOffers[sec][r])
 			mine := func(list []need) []int {
@@ -365,7 +368,7 @@ func (st *State) buildPlans() error {
 	for range st.peers {
 		data, s := comm.Recv(mpi.AnySource, tagKReq)
 		u := unpacker{buf: data}
-		for sec := 0; sec < 8; sec++ {
+		for sec := 0; sec <= haloPlan; sec++ {
 			cells, err := decodeCellList(&u, box, s.Source, me)
 			if err != nil {
 				return err

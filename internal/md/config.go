@@ -7,11 +7,10 @@
 package md
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 
+	"mdkmc/internal/digest"
 	"mdkmc/internal/eam"
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/units"
@@ -52,19 +51,11 @@ type Berendsen struct {
 	Tau    float64 // coupling time in ps
 }
 
-// Config fully describes an MD run. The zero value is not runnable; use
-// DefaultConfig as a starting point.
-type Config struct {
-	Cells [3]int // unit cells per dimension of the global box
-	//mdvet:hashexempt topology knob (DESIGN.md §14): recorded in the manifest and re-sharded on restart, not part of the physical run
-	Grid [3]int // process grid (ranks = product)
-	// Cuts, when a dimension is non-nil, are explicit slab boundaries for
-	// that dimension of the process grid (lattice.NewGridCuts) — the
-	// load-balanced decomposition produced by the repartitioner. Like Grid it
-	// is a topology knob: it changes how work is distributed, not which
-	// trajectory is physical, and is excluded from Hash.
-	//mdvet:hashexempt topology knob (DESIGN.md §14): re-shard loader handles boundary changes, trajectory is unchanged
-	Cuts    [3][]int
+// Physics is the trajectory-determining half of a Config: every field
+// here changes the simulated trajectory, and Hash digests the struct
+// wholesale, so no field can be left out of the checkpoint digest.
+type Physics struct {
+	Cells   [3]int // unit cells per dimension of the global box
 	A       float64
 	Species units.Element
 	// CuFraction substitutes the given fraction of lattice atoms with
@@ -78,23 +69,6 @@ type Config struct {
 
 	Seed uint64
 
-	// Workers is the number of OS worker goroutines the shared-memory force
-	// driver (and the host side of the CPE kernel) uses per rank: 0 means
-	// runtime.GOMAXPROCS, 1 is the serial reference mode. Results are
-	// bit-identical for every value — the driver shards into a fixed number
-	// of chunks and reduces them in chunk order (DESIGN.md §9) — so the
-	// knob trades wall-clock only.
-	//mdvet:hashexempt bit-identical speed knob (DESIGN.md §9): the chunked reduction makes results independent of the pool size
-	Workers int
-
-	// ReferenceKernel selects the retained full-iteration force kernel
-	// instead of the optimized half-neighbor/fused-lookup one. Like Workers
-	// it is a documented bit-identical knob (DESIGN.md §13) — the two
-	// kernels produce bitwise-equal trajectories — retained as the
-	// cross-check mode, mirroring the KMC FullRescan pattern.
-	//mdvet:hashexempt bit-identical kernel selector (DESIGN.md §13): both kernels produce bitwise-equal trajectories
-	ReferenceKernel bool
-
 	Mode        eam.Mode
 	TablePoints int
 	Skin        float64
@@ -103,25 +77,60 @@ type Config struct {
 	Thermostat *Berendsen // optional thermostat
 }
 
+// Config fully describes an MD run: the Physics that determines the
+// trajectory plus the runtime fields that only decide how the work is laid
+// out. The zero value is not runnable; use DefaultConfig as a starting
+// point.
+type Config struct {
+	Physics
+
+	// Grid is the process grid (ranks = product). It is a topology knob
+	// (DESIGN.md §14): the checkpoint manifest records it and the re-shard
+	// loader handles a change, so it is not part of the physics.
+	Grid [3]int
+	// Cuts, when a dimension is non-nil, are explicit slab boundaries for
+	// that dimension of the process grid (lattice.NewGridCuts) — the
+	// load-balanced decomposition produced by the repartitioner. Like Grid it
+	// changes how work is distributed, not which trajectory is physical.
+	Cuts [3][]int
+
+	// Workers is the number of OS worker goroutines the shared-memory force
+	// driver (and the host side of the CPE kernel) uses per rank: 0 means
+	// runtime.GOMAXPROCS, 1 is the serial reference mode. Results are
+	// bit-identical for every value — the driver shards into a fixed number
+	// of chunks and reduces them in chunk order (DESIGN.md §9) — so the
+	// knob trades wall-clock only.
+	Workers int
+
+	// referenceKernel selects the retained full-iteration force kernel
+	// instead of the optimized half-neighbor/fused-lookup one. The two
+	// produce bitwise-equal trajectories (DESIGN.md §13); only the
+	// in-package equivalence tests set it.
+	referenceKernel bool
+}
+
 // DefaultConfig returns the paper's iron setup at a laptop-scale box size:
 // Fe at 600 K, lattice constant 2.855 Å, 1 fs steps, compacted tables.
 func DefaultConfig() Config {
 	return Config{
-		Cells:       [3]int{8, 8, 8},
-		Grid:        [3]int{1, 1, 1},
-		A:           units.LatticeConstantFe,
-		Species:     units.Fe,
-		Temperature: 600,
-		Dt:          DefaultDt,
-		Steps:       100,
-		Seed:        1,
-		Mode:        eam.Compacted,
-		TablePoints: eam.TablePoints,
-		Skin:        DefaultSkin,
+		Physics: Physics{
+			Cells:       [3]int{8, 8, 8},
+			A:           units.LatticeConstantFe,
+			Species:     units.Fe,
+			Temperature: 600,
+			Dt:          DefaultDt,
+			Steps:       100,
+			Seed:        1,
+			Mode:        eam.Compacted,
+			TablePoints: eam.TablePoints,
+			Skin:        DefaultSkin,
+		},
+		Grid: [3]int{1, 1, 1},
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float must be finite: the
+// checks are written as conditions a valid value meets, which NaN fails.
 func (c *Config) Validate() error {
 	for d := 0; d < 3; d++ {
 		if c.Cells[d] <= 0 {
@@ -131,17 +140,20 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("md: non-positive grid %v", c.Grid)
 		}
 	}
-	if c.A <= 0 {
-		return fmt.Errorf("md: non-positive lattice constant %v", c.A)
+	if !positiveFinite(c.A) {
+		return fmt.Errorf("md: lattice constant %v is not positive and finite", c.A)
 	}
-	if c.Dt <= 0 {
-		return fmt.Errorf("md: non-positive time step %v", c.Dt)
+	if !positiveFinite(c.Dt) {
+		return fmt.Errorf("md: time step %v is not positive and finite", c.Dt)
+	}
+	if !finite(c.Temperature) {
+		return fmt.Errorf("md: temperature %v is not finite", c.Temperature)
 	}
 	if c.Steps < 0 {
 		return fmt.Errorf("md: negative step count %d", c.Steps)
 	}
-	if c.Skin <= 0 {
-		return fmt.Errorf("md: non-positive skin %v", c.Skin)
+	if !positiveFinite(c.Skin) {
+		return fmt.Errorf("md: skin %v is not positive and finite", c.Skin)
 	}
 	if c.TablePoints < 8 {
 		return fmt.Errorf("md: table resolution %d too small", c.TablePoints)
@@ -149,50 +161,38 @@ func (c *Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("md: negative worker count %d", c.Workers)
 	}
-	if c.CuFraction < 0 || c.CuFraction > 1 {
+	if !(c.CuFraction >= 0 && c.CuFraction <= 1) {
 		return fmt.Errorf("md: copper fraction %v out of range", c.CuFraction)
 	}
 	if c.CuFraction > 0 && c.Species != units.Fe {
 		return fmt.Errorf("md: copper substitution requires an iron host")
 	}
 	if p := c.PKA; p != nil {
-		if p.Energy <= 0 || math.IsInf(p.Energy, 0) || math.IsNaN(p.Energy) {
+		if !positiveFinite(p.Energy) {
 			return fmt.Errorf("md: PKA energy %v is not positive and finite", p.Energy)
 		}
 		for _, v := range p.Direction {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
+			if !finite(v) {
 				return fmt.Errorf("md: PKA direction %v is not finite", p.Direction)
 			}
 		}
 	}
+	if th := c.Thermostat; th != nil && !(th.Target >= 0 && finite(th.Target) && positiveFinite(th.Tau)) {
+		return fmt.Errorf("md: thermostat %+v needs a finite target >= 0 and a positive finite tau", *th)
+	}
 	return nil
 }
 
-// Hash returns a short stable digest of every trajectory-determining
-// field. Checkpoint manifests record it so a restart with a diverging
-// configuration is refused instead of silently producing a different
-// trajectory. Workers and ReferenceKernel are excluded: the force pool
-// (DESIGN.md §9) and the kernel choice (DESIGN.md §13) are documented
-// bit-identical knobs, so a run may legally resume with either changed.
-// Grid and Cuts are likewise excluded (DESIGN.md §14): topology is
-// restart-compatible-but-checked — the manifest records the source topology
-// separately and the re-shard loader handles a mismatch, so changing the
-// rank count or slab boundaries is not a different physical run.
-func (c *Config) Hash() string {
-	pka := "nil"
-	if c.PKA != nil {
-		pka = fmt.Sprintf("%+v", *c.PKA)
-	}
-	th := "nil"
-	if c.Thermostat != nil {
-		th = fmt.Sprintf("%+v", *c.Thermostat)
-	}
-	s := fmt.Sprintf("md|cells=%v|a=%v|sp=%d|cu=%v|T=%v|dt=%v|steps=%d|seed=%d|mode=%d|pts=%d|skin=%v|pka=%s|thermo=%s",
-		c.Cells, c.A, c.Species, c.CuFraction, c.Temperature, c.Dt,
-		c.Steps, c.Seed, c.Mode, c.TablePoints, c.Skin, pka, th)
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:8])
-}
+func finite(x float64) bool         { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+func positiveFinite(x float64) bool { return x > 0 && finite(x) }
+
+// Hash returns a short stable digest of the Physics half. Checkpoint
+// manifests record it so a restart with a diverging configuration is
+// refused instead of silently producing a different trajectory. The
+// runtime half is outside it by construction: Workers and the kernel
+// choice are bit-identical knobs (DESIGN.md §9, §13), and Grid and Cuts
+// are restart-compatible-but-checked topology (DESIGN.md §14).
+func (c *Config) Hash() string { return digest.Of(c.Physics) }
 
 // Ranks returns the number of processes the configuration requires.
 func (c *Config) Ranks() int { return c.Grid[0] * c.Grid[1] * c.Grid[2] }

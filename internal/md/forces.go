@@ -91,7 +91,7 @@ type ForceField struct {
 
 	// Reference selects the retained full-iteration kernel instead of the
 	// optimized half-neighbor/fused one — the cross-check mode, mirroring
-	// the KMC FullRescan knob.
+	// the KMC full-rescan reference mode.
 	Reference bool
 
 	// Optimized-kernel statics, built once per store geometry.

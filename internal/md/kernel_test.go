@@ -68,7 +68,7 @@ func TestReferenceKernelEquivalence(t *testing.T) {
 			cfg.Dt = 2e-4
 			cfg.PKA = &PKA{Energy: 120}
 			tc.mut(&cfg)
-			cfg.ReferenceKernel = true
+			cfg.referenceKernel = true
 			cfg.Workers = 1
 			ref := gatherState(t, cfg, steps, nil)
 
@@ -78,7 +78,7 @@ func TestReferenceKernelEquivalence(t *testing.T) {
 			requireIdentical(t, tc.name+"/reference-workers=7", ref,
 				gatherState(t, cfg, steps, nil))
 
-			cfg.ReferenceKernel = false
+			cfg.referenceKernel = false
 			for _, workers := range []int{1, 4, 7} {
 				cfg.Workers = workers
 				got := gatherState(t, cfg, steps, nil)
@@ -96,12 +96,12 @@ func TestReferenceKernelEquivalenceCPE(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Temperature = 600
 	const steps = 3
-	cfg.ReferenceKernel = true
+	cfg.referenceKernel = true
 	cfg.Workers = 1
 	ref := gatherState(t, cfg, steps, nil)
 	for _, refKernel := range []bool{false, true} {
 		for _, variant := range []KernelVariant{VariantTraditional, VariantFull} {
-			cfg.ReferenceKernel = refKernel
+			cfg.referenceKernel = refKernel
 			cfg.Workers = 4
 			got := gatherState(t, cfg, steps, func(r *Rank) { r.AttachCPEKernel(variant) })
 			requireIdenticalState(t,
@@ -116,7 +116,7 @@ func TestEnergyConservationNVEReferenceKernel(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Temperature = 300
 	cfg.Workers = 4
-	cfg.ReferenceKernel = true
+	cfg.referenceKernel = true
 	runWorld(t, cfg, func(r *Rank) {
 		ke0, pe0 := r.TotalEnergy()
 		for i := 0; i < 200; i++ {
@@ -265,7 +265,7 @@ func TestCoincidentAtomsCountedAndSticky(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := smallConfig()
 			cfg.Temperature = 0
-			cfg.ReferenceKernel = refKernel
+			cfg.referenceKernel = refKernel
 			runWorld(t, cfg, func(r *Rank) {
 				if err := r.CoincidenceError(); err != nil {
 					t.Fatalf("clean world reported coincidence: %v", err)

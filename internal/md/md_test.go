@@ -374,7 +374,7 @@ func TestKernelVariantOrdering(t *testing.T) {
 	// study runs on the retained reference kernel; the optimized kernel
 	// issues far fewer lookups, which legitimately shrinks the
 	// traditional variant's row-fetch penalty below the figure's ratio.
-	cfg.ReferenceKernel = true
+	cfg.referenceKernel = true
 	cfg.TablePoints = eam.TablePoints
 	cfg.Mode = eam.Compacted
 	cfg.Cells = [3]int{28, 28, 28}

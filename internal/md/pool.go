@@ -46,8 +46,8 @@ const (
 // any concurrent chunk of the same round.
 //
 // Workers == 1 executes the chunks inline on the calling goroutine and is
-// the retained serial reference mode (mirroring the KMC FullRescan
-// pattern); Workers == 0 resolves to runtime.GOMAXPROCS.
+// the retained serial reference mode (mirroring the KMC full-rescan
+// reference); Workers == 0 resolves to runtime.GOMAXPROCS.
 type ForcePool struct {
 	FF      *ForceField
 	Workers int

@@ -119,7 +119,7 @@ func NewRank(cfg Config, comm *mpi.Comm) (*Rank, error) {
 		Pot:   pot,
 		FF:    NewForceField(store, pot, cfg.Skin),
 	}
-	r.FF.Reference = cfg.ReferenceKernel
+	r.FF.Reference = cfg.referenceKernel
 	r.Pool = NewForcePool(r.FF, cfg.Workers)
 	r.Ex, err = newExchange(comm, grid, box)
 	if err != nil {

@@ -61,9 +61,10 @@ race:
 
 # The fault-injection recovery gate on its own: crash a coupled run at an
 # armed point, restart from the newest snapshot, demand bit-identical
-# results (plus the atomic-commit guarantee).
+# results (plus the atomic-commit guarantee), and evict each of the four
+# checkpointed entry points through a preemptor and resume it bit-identically.
 recovery:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit' ./internal/couple
+	$(GO) test -race -count=1 -run 'TestRecovery|TestAtomicCommit|TestPreempt' ./internal/couple
 
 # Per-package coverage with enforced floors on internal/couple — the
 # restart-correctness core (checkpoint coordinator, re-shard loaders,

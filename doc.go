@@ -13,9 +13,9 @@
 // The package exposes the three top-level entry points a downstream user
 // needs:
 //
-//	res, err := mdkmc.RunMD(mdkmc.DefaultMDConfig())      // cascade MD
-//	res, err := mdkmc.RunKMC(mdkmc.DefaultKMCConfig())    // defect evolution
-//	res, err := mdkmc.RunCoupled(mdkmc.CoupledConfig{...}) // the full pipeline
+//	res, err := mdkmc.RunMD(mdkmc.DefaultMDConfig())           // cascade MD
+//	res, err := mdkmc.RunKMC(mdkmc.DefaultKMCConfig(), 100, 0) // defect evolution
+//	res, err := mdkmc.RunCoupled(mdkmc.CoupledConfig{...})     // the full pipeline
 //
 // Multi-process parallelism is simulated in-process: Config.Grid selects a
 // 3-D domain decomposition and each subdomain runs on its own goroutine

@@ -427,71 +427,22 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 		}
 	}
 
-	hash := cfg.Hash()
-	var co *Coordinator
-	var man *Manifest
-	var err error
-	if cfg.Checkpoint.Dir != "" {
-		if cfg.Checkpoint.Restart {
-			if man, err = Latest(cfg.Checkpoint.Dir, hash); err != nil {
-				return nil, err
-			}
-			if man != nil && man.Stage != StageCampaign {
-				return nil, fmt.Errorf("couple: checkpoint %d is a %q snapshot, not a campaign", man.Seq, man.Stage)
-			}
-		}
-		if co, err = NewCoordinator(cfg.Checkpoint, hash); err != nil {
-			return nil, err
-		}
-	}
-	envFaults, err := mpi.FaultsFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	set, err := telemetry.NewSet(cfg.MD.Ranks(), cfg.Telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-
 	res := &CampaignResult{AtomCount: cfg.MD.NumAtoms()}
-	w := mpi.NewWorld(cfg.MD.Ranks())
-	w.InjectFault(cfg.Faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
+	rep, err := execute(cfg.MD.Ranks(), cfg.Hash(), cfg.runOpts(), []string{StageCampaign}, func(h *harness, c *mpi.Comm, reg *telemetry.Registry) error {
+		man := h.man
 		rank, err := md.NewRank(cfg.MD, c)
 		if err != nil {
 			return err
 		}
 		rank.AttachTelemetry(reg)
 		l := rank.L
-		mdTopo := Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}
 
 		// Campaign ledger state, replicated identically on every rank.
 		camp := CampaignState{}
 		startIter, localStep := 0, 0
 		var pending *PendingInjection
 		if man != nil {
-			srcGrid, err := man.Topology.SourceGrid(l)
-			if err != nil {
-				return err
-			}
-			if cutsEqual(srcGrid.Cuts(), rank.Grid.Cuts()) {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = rank.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else if err := rank.RestoreResharded(md.ShardSource{
-				Grid: srcGrid, Open: man.Open,
-			}); err != nil {
+			if err := restore(c, man, rank.Grid, rank); err != nil {
 				return err
 			}
 			camp = *man.Campaign
@@ -542,6 +493,8 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			}
 			return &s
 		}
+		mdLoop := stageLoop{stage: StageCampaign, point: mpi.PointMDStep, flush: "campaign-step",
+			topo: Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}, save: rank.Save}
 
 		for it := startIter; it < spec.Iters; it++ {
 			// Injection — skipped when a mid-iteration restart already has
@@ -567,33 +520,17 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			skippedCtr.Add(int64(inj.Skipped))
 			doseGauge.Set(int64(camp.Dose * 1e9))
 
-			// MD cascade + anneal over the campaign-global step counter.
+			// MD cascade + anneal over the campaign-global step counter. The
+			// last step of the MD stage is not a boundary: mid-iteration
+			// snapshots must leave the iteration resumable (localStep <
+			// Steps), so it defers to the iteration boundary below.
+			mdLoop.camp = snapState(it, &inj)
 			mdStage := reg.Timer("couple/md-stage").Begin()
 			for s := localStep; s < cfg.MD.Steps; s++ {
 				rank.Step()
-				gstep := it*cfg.MD.Steps + s + 1
-				if co.Due(gstep) && s+1 < cfg.MD.Steps {
-					if err := co.SnapshotCampaign(c, gstep, mdTopo, snapState(it, &inj), rank.Save); err != nil {
-						return err
-					}
-				}
-				if c.Rank() == 0 && set.FlushDue(gstep) {
-					if err := set.Flush(fmt.Sprintf("campaign-step-%d", gstep)); err != nil {
-						return err
-					}
-				}
-				c.FaultPoint(mpi.PointMDStep, gstep)
-				// Preemption boundary: mid-iteration snapshots must leave the
-				// iteration resumable (localStep < Steps), so the last step of
-				// the MD stage defers to the iteration-boundary check below.
-				if cfg.Preempt != nil && s+1 < cfg.MD.Steps && cfg.Preempt.Poll(c) {
+				if err := h.boundary(c, &mdLoop, it*cfg.MD.Steps+s+1, s+1 < cfg.MD.Steps); err != nil {
 					mdStage.End()
-					if co != nil {
-						if err := co.SnapshotCampaign(c, gstep, mdTopo, snapState(it, &inj), rank.Save); err != nil {
-							return err
-						}
-					}
-					return ErrPreempted
+					return err
 				}
 			}
 			mdStage.End()
@@ -601,7 +538,7 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 
 			// Harvest: only vacancies not yet handed over feed the coarse
 			// stage; canonical site order keeps the hand-off topology-blind.
-			mdSites := sortSites(l, gatherSites(c, l, rank.OwnedVacancySites()))
+			mdSites := sortSites(l, gatherSites(c, rank.OwnedVacancySites()))
 			fresh := diffSites(l, mdSites, camp.Seen)
 			camp.Seen = unionSites(l, camp.Seen, fresh)
 			newVacCtr.Add(int64(len(fresh)))
@@ -657,7 +594,7 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 					c.FaultPoint(mpi.PointKMCCycle, it*cfg.KMCCycles+st.Cycles)
 				}
 				totEvents := c.Allreduce(mpi.Sum, float64(st.Events))
-				camp.Population = sortSites(l, gatherSites(c, l, st.VacancySites()))
+				camp.Population = sortSites(l, gatherSites(c, st.VacancySites()))
 				row.Events = int(totEvents[0] + 0.5)
 				row.MCTime = st.Time
 				row.Population = len(camp.Population)
@@ -669,23 +606,20 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			iterations.Inc()
 			popGauge.Set(int64(row.Population))
 
-			// Iteration-boundary snapshot: the natural campaign restart
-			// point, written whenever periodic checkpointing is on.
-			if co != nil && cfg.Checkpoint.Every > 0 && it+1 < spec.Iters {
-				if err := co.SnapshotCampaign(c, (it+1)*cfg.MD.Steps, mdTopo, snapState(it+1, nil), rank.Save); err != nil {
+			// Iteration boundary: the natural campaign restart point,
+			// snapshotted whenever periodic checkpointing is on, then the
+			// preemption poll (the KMC/OKMC anneal has no checkpointable
+			// mid-state, so a request raised during it is honored here, after
+			// the iteration's ledger row is complete).
+			more := it+1 < spec.Iters
+			mdLoop.camp = snapState(it+1, nil)
+			if more && h.co != nil && cfg.Checkpoint.Every > 0 {
+				if err := h.co.snapshot(c, (it+1)*cfg.MD.Steps, &mdLoop); err != nil {
 					return err
 				}
 			}
-			// Preemption boundary between iterations (the KMC/OKMC anneal has
-			// no checkpointable mid-state, so a request raised during it is
-			// honored here, after the iteration's ledger row is complete).
-			if cfg.Preempt != nil && it+1 < spec.Iters && cfg.Preempt.Poll(c) {
-				if co != nil {
-					if err := co.SnapshotCampaign(c, (it+1)*cfg.MD.Steps, mdTopo, snapState(it+1, nil), rank.Save); err != nil {
-						return err
-					}
-				}
-				return ErrPreempted
+			if err := h.evict(c, &mdLoop, (it+1)*cfg.MD.Steps, more); err != nil {
+				return err
 			}
 		}
 
@@ -712,22 +646,11 @@ func RunCampaign(cfg Config) (*CampaignResult, error) {
 			}
 			res.CommStats = c.Stats()
 		}
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
+	res.Telemetry = rep
 	return res, nil
 }

@@ -253,7 +253,7 @@ type Coordinator struct {
 }
 
 // AttachTelemetry wires the run's telemetry set into the coordinator so
-// Snapshot can time its save and commit phases per rank. Safe on a nil
+// snapshot can time its save and commit phases per rank. Safe on a nil
 // coordinator or a nil set.
 func (co *Coordinator) AttachTelemetry(set *telemetry.Set) {
 	if co != nil {
@@ -288,30 +288,21 @@ func NewCoordinator(ck Checkpoint, hash string) (*Coordinator, error) {
 }
 
 // Due reports whether the cadence calls for a snapshot after the given
-// step/cycle. Every rank computes the same answer, keeping Snapshot
+// step/cycle. Every rank computes the same answer, keeping snapshot
 // collective.
 func (co *Coordinator) Due(step int) bool {
 	return co != nil && co.every > 0 && step > 0 && step%co.every == 0
 }
 
-// Snapshot collectively writes one snapshot of the active stage: every rank
-// streams its state through save into the shared staging directory, then
-// rank 0 writes the manifest — recording the decomposition topo that the
-// rank files were sliced by — and commits with an atomic rename. It must be
-// entered by all ranks with identical (stage, step, topo).
-func (co *Coordinator) Snapshot(c *mpi.Comm, stage string, step int, topo Topology, md *MDSummary, save func(io.Writer) error) error {
-	return co.snapshot(c, stage, step, topo, md, nil, save)
-}
-
-// SnapshotCampaign writes a campaign-stage snapshot: the rank files carry the
-// MD rank state (the only distributed state a campaign resumes from; the KMC
-// hand-off is recomputed deterministically), the manifest carries the
-// campaign ledger. Collective with the same contract as Snapshot.
-func (co *Coordinator) SnapshotCampaign(c *mpi.Comm, step int, topo Topology, camp *CampaignState, save func(io.Writer) error) error {
-	return co.snapshot(c, StageCampaign, step, topo, nil, camp, save)
-}
-
-func (co *Coordinator) snapshot(c *mpi.Comm, stage string, step int, topo Topology, md *MDSummary, camp *CampaignState, save func(io.Writer) error) error {
+// snapshot collectively writes one snapshot of the stage loop l at step:
+// every rank streams its state through l.save into the shared staging
+// directory, then rank 0 writes the manifest — recording the decomposition
+// l.topo that the rank files were sliced by, and the MD summary or campaign
+// ledger the stage carries — and commits with an atomic rename. It must be
+// entered by all ranks with identical (step, l). A campaign's rank files
+// carry only the MD rank state: the KMC hand-off is recomputed
+// deterministically on resume.
+func (co *Coordinator) snapshot(c *mpi.Comm, step int, l *stageLoop) error {
 	reg := co.set.Rank(c.Rank())
 	snap := reg.Timer("couple/checkpoint").Begin()
 	defer snap.End()
@@ -328,7 +319,7 @@ func (co *Coordinator) snapshot(c *mpi.Comm, stage string, step int, topo Topolo
 	c.Barrier() // staging dir exists before anyone writes into it
 
 	sp := reg.Timer("couple/checkpoint/save").Begin()
-	if err := co.writeRankFile(c, tmp, save); err != nil {
+	if err := co.writeRankFile(c, tmp, l.save); err != nil {
 		return err
 	}
 	sp.End()
@@ -343,13 +334,13 @@ func (co *Coordinator) snapshot(c *mpi.Comm, stage string, step int, topo Topolo
 		man := Manifest{
 			Version:    manifestVersion,
 			Seq:        seq,
-			Stage:      stage,
+			Stage:      l.stage,
 			Step:       step,
 			Ranks:      c.Size(),
-			Topology:   topo,
+			Topology:   l.topo,
 			ConfigHash: co.hash,
-			MD:         md,
-			Campaign:   camp,
+			MD:         l.md,
+			Campaign:   l.camp,
 		}
 		data, err := json.MarshalIndent(&man, "", "  ")
 		if err != nil {

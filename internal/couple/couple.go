@@ -187,47 +187,17 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg.normalize()
 
-	// Fault-tolerance setup: the config hash ties snapshots to this exact
-	// trajectory; the fault plan merges the programmatic and env layers.
-	hash := cfg.Hash()
-	var co *Coordinator
-	var man *Manifest
-	var err error
-	if cfg.Checkpoint.Dir != "" {
-		if cfg.Checkpoint.Restart {
-			if man, err = Latest(cfg.Checkpoint.Dir, hash); err != nil {
-				return nil, err
-			}
-		}
-		if co, err = NewCoordinator(cfg.Checkpoint, hash); err != nil {
-			return nil, err
-		}
-	}
-	envFaults, err := mpi.FaultsFromEnv()
-	if err != nil {
-		return nil, err
-	}
-	set, err := telemetry.NewSet(cfg.MD.Ranks(), cfg.Telemetry)
-	if err != nil {
-		return nil, err
-	}
-	defer set.Close()
-	co.AttachTelemetry(set)
-
 	res := &Result{AtomCount: cfg.MD.NumAtoms(), MDSteps: cfg.MD.Steps}
-	w := mpi.NewWorld(cfg.MD.Ranks())
-	w.InjectFault(cfg.Faults...)
-	w.InjectFault(envFaults...)
-	runErr := w.RunE(func(c *mpi.Comm) error {
-		reg := set.Rank(c.Rank())
-		c.AttachTelemetry(reg)
+	rep, err := execute(cfg.MD.Ranks(), cfg.Hash(), cfg.runOpts(), []string{StageMD, StageKMC}, func(h *harness, c *mpi.Comm, reg *telemetry.Registry) error {
+		man := h.man
 		// Stage 1: MD cascade — skipped entirely when resuming past the
 		// handoff; the manifest then carries the MD stage's summary.
 		var l *lattice.Lattice
 		var vacMD int
 		var allBefore []lattice.Coord
 		kcfg := cfg.kmcConfig()
-		if man != nil && man.Stage == StageKMC {
+		restoringKMC := man != nil && man.Stage == StageKMC
+		if restoringKMC {
 			l = lattice.New(cfg.MD.Cells[0], cfg.MD.Cells[1], cfg.MD.Cells[2], cfg.MD.A)
 			if man.MD == nil {
 				return fmt.Errorf("couple: KMC-stage checkpoint lacks the MD summary")
@@ -241,59 +211,26 @@ func Run(cfg Config) (*Result, error) {
 			}
 			rank.AttachTelemetry(reg)
 			l = rank.L
-			mdTopo := Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}
 			start := 0
 			if man != nil { // man.Stage == StageMD
-				srcGrid, err := man.Topology.SourceGrid(rank.L)
-				if err != nil {
-					return err
-				}
-				if cutsEqual(srcGrid.Cuts(), rank.Grid.Cuts()) {
-					// Same decomposition: the byte-exact per-rank path.
-					rc, err := man.Open(c.Rank())
-					if err != nil {
-						return err
-					}
-					err = rank.Restore(rc)
-					rc.Close()
-					if err != nil {
-						return err
-					}
-				} else if err := rank.RestoreResharded(md.ShardSource{
-					Grid: srcGrid, Open: man.Open,
-				}); err != nil {
+				if err := restore(c, man, rank.Grid, rank); err != nil {
 					return err
 				}
 				start = man.Step
 			}
+			mdLoop := stageLoop{stage: StageMD, point: mpi.PointMDStep, flush: "md-step",
+				topo: Topology{Grid: cfg.MD.Grid, Cuts: rank.Grid.Cuts()}, save: rank.Save}
 			mdStage := reg.Timer("couple/md-stage").Begin()
 			for i := start; i < cfg.MD.Steps; i++ {
 				rank.Step()
-				step := i + 1
-				if co.Due(step) && step < cfg.MD.Steps {
-					if err := co.Snapshot(c, StageMD, step, mdTopo, nil, rank.Save); err != nil {
-						return err
-					}
-				}
-				if c.Rank() == 0 && set.FlushDue(step) {
-					if err := set.Flush(fmt.Sprintf("md-step-%d", step)); err != nil {
-						return err
-					}
-				}
-				c.FaultPoint(mpi.PointMDStep, step)
-				if cfg.Preempt != nil && step < cfg.MD.Steps && cfg.Preempt.Poll(c) {
+				if err := h.boundary(c, &mdLoop, i+1, i+1 < cfg.MD.Steps); err != nil {
 					mdStage.End()
-					if co != nil {
-						if err := co.Snapshot(c, StageMD, step, mdTopo, nil, rank.Save); err != nil {
-							return err
-						}
-					}
-					return ErrPreempted
+					return err
 				}
 			}
 			mdStage.End()
 			vacMD = rank.GlobalVacancyCount()
-			allBefore = gatherSites(c, rank.L, rank.OwnedVacancySites())
+			allBefore = gatherSites(c, rank.OwnedVacancySites())
 			kcfg.Vacancies = globalIndices(rank.L, allBefore)
 		}
 
@@ -303,11 +240,8 @@ func Run(cfg Config) (*Result, error) {
 		// re-shards otherwise, and the rebalancer fits slab cuts to the
 		// defect distribution at the handoff and, with Rebalance.Every set,
 		// periodically as the defect cloud migrates.
-		restoringKMC := man != nil && man.Stage == StageKMC
-		sameKMCTopo := false
 		if restoringKMC && man.Topology.Grid == kcfg.Grid {
 			kcfg.Cuts = man.Topology.Cuts
-			sameKMCTopo = true
 		} else if cfg.Rebalance.Handoff {
 			cuts, err := fitCuts(l, kcfg.Grid, kcfg.GhostWidth(), allBefore, cfg.Rebalance.weight())
 			if err != nil {
@@ -321,67 +255,37 @@ func Run(cfg Config) (*Result, error) {
 		}
 		st.AttachTelemetry(reg)
 		if restoringKMC {
-			if sameKMCTopo {
-				rc, err := man.Open(c.Rank())
-				if err != nil {
-					return err
-				}
-				err = st.Restore(rc)
-				rc.Close()
-				if err != nil {
-					return err
-				}
-			} else {
-				srcGrid, err := man.Topology.SourceGrid(l)
-				if err != nil {
-					return err
-				}
-				if err := st.RestoreResharded(kmc.ShardSource{
-					Grid: srcGrid, Open: man.Open,
-				}); err != nil {
-					return err
-				}
+			if err := restore(c, man, st.Grid, st); err != nil {
+				return err
 			}
 		}
-		curTopo := Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()}
-		summary := &MDSummary{Vacancies: vacMD, BeforeSites: allBefore}
+		kmcLoop := stageLoop{stage: StageKMC, point: mpi.PointKMCCycle, flush: "kmc-cycle",
+			topo: Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()},
+			md:   &MDSummary{Vacancies: vacMD, BeforeSites: allBefore}, save: st.Save}
+		more := func() bool { return st.Time < cfg.TThreshold && st.Cycles < cfg.KMCCycles }
 		kmcStage := reg.Timer("couple/kmc-stage").Begin()
-		for st.Time < cfg.TThreshold && st.Cycles < cfg.KMCCycles {
+		for more() {
 			st.Cycle()
 			if rb := cfg.Rebalance; rb.Every > 0 && st.Cycles%rb.Every == 0 && st.Cycles < cfg.KMCCycles {
 				if st, err = rebalanceKMC(c, reg, st, kcfg, rb); err != nil {
+					kmcStage.End()
 					return err
 				}
-				curTopo = Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()}
+				kmcLoop.topo = Topology{Grid: kcfg.Grid, Cuts: st.Grid.Cuts()}
+				kmcLoop.save = st.Save
 			}
-			if co.Due(st.Cycles) && st.Cycles < cfg.KMCCycles {
-				if err := co.Snapshot(c, StageKMC, st.Cycles, curTopo, summary, st.Save); err != nil {
-					return err
-				}
-			}
-			if c.Rank() == 0 && set.FlushDue(st.Cycles) {
-				if err := set.Flush(fmt.Sprintf("kmc-cycle-%d", st.Cycles)); err != nil {
-					return err
-				}
-			}
-			c.FaultPoint(mpi.PointKMCCycle, st.Cycles)
-			if cfg.Preempt != nil && st.Cycles < cfg.KMCCycles && cfg.Preempt.Poll(c) {
+			if err := h.boundary(c, &kmcLoop, st.Cycles, more()); err != nil {
 				kmcStage.End()
-				if co != nil {
-					if err := co.Snapshot(c, StageKMC, st.Cycles, curTopo, summary, st.Save); err != nil {
-						return err
-					}
-				}
-				return ErrPreempted
+				return err
 			}
 		}
 		kmcStage.End()
 		totEvents := c.Allreduce(mpi.Sum, float64(st.Events))
 
-		allAfter := gatherSites(c, l, st.VacancySites())
+		allAfter := gatherSites(c, st.VacancySites())
 		vacKMC := st.GlobalVacancyCount()
 
-		// Only rank 0 writes the result; Run's WaitGroup orders the write
+		// Only rank 0 writes the result; RunE's WaitGroup orders the write
 		// before the caller's read.
 		if c.Rank() == 0 {
 			res.VacanciesMD = vacMD
@@ -398,26 +302,12 @@ func Run(cfg Config) (*Result, error) {
 			res.AfterKMC = cluster.Vacancies(l, allAfter, 2)
 			res.CommStats = c.Stats()
 		}
-		// End-of-run aggregation is collective; every rank enters it (set is
-		// identical across ranks: nil when disabled). It runs after CommStats
-		// is captured, so the aggregation's own traffic stays out of both.
-		if set != nil {
-			rep, err := telemetry.Aggregate(c, reg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				res.Telemetry = rep
-				if err := set.WriteReport(rep); err != nil {
-					return err
-				}
-			}
-		}
 		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
+	res.Telemetry = rep
 	return res, nil
 }
 
@@ -425,7 +315,7 @@ func Run(cfg Config) (*Result, error) {
 // collective: every rank of c must call it in lockstep.
 //
 //mdvet:collective
-func gatherSites(c *mpi.Comm, l *lattice.Lattice, own []lattice.Coord) []lattice.Coord {
+func gatherSites(c *mpi.Comm, own []lattice.Coord) []lattice.Coord {
 	var p []byte
 	for _, s := range own {
 		p = append(p, byte(s.X), byte(s.X>>8), byte(s.X>>16), byte(s.X>>24))

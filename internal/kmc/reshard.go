@@ -3,17 +3,9 @@ package kmc
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"mdkmc/internal/lattice"
 )
-
-// ShardSource describes where an M-rank KMC checkpoint came from: the source
-// decomposition and a way to open each source rank's shard.
-type ShardSource struct {
-	Grid *lattice.Grid
-	Open func(rank int) (io.ReadCloser, error)
-}
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
 // into a state of an N-rank decomposition of the same physical run. Every
@@ -28,7 +20,7 @@ type ShardSource struct {
 // is preserved exactly while the continued trajectory follows the new
 // decomposition's (seed, rank, cycle, sector) RNG streams. Collective:
 // every target rank must call it.
-func (st *State) RestoreResharded(src ShardSource) error {
+func (st *State) RestoreResharded(src lattice.ShardSource) error {
 	if src.Grid == nil || src.Open == nil {
 		return fmt.Errorf("kmc: reshard source missing grid or shard opener")
 	}
@@ -102,7 +94,7 @@ func (st *State) SetClock(time float64, cycles, events int) {
 }
 
 // readShard opens, decodes and validates one source shard.
-func (st *State) readShard(src ShardSource, rank int) (*checkpoint, error) {
+func (st *State) readShard(src lattice.ShardSource, rank int) (*checkpoint, error) {
 	rd, err := src.Open(rank)
 	if err != nil {
 		return nil, fmt.Errorf("kmc: opening shard %d: %w", rank, err)

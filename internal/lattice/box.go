@@ -1,6 +1,9 @@
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"io"
+)
 
 // Box is the rectangular subdomain of unit cells owned by one process in the
 // standard domain decomposition ("we use the standard domain decomposition
@@ -121,6 +124,15 @@ func (b *Box) SpanCells(n, i int) (lo, hi int) { return span(b.OwnedCells(), n, 
 // workers over all local sites (owned and ghost); the work-splitting
 // primitive of passes that sweep the full halo, such as the embedding fill.
 func (b *Box) SpanLocalSites(n, i int) (lo, hi int) { return span(b.NumLocalSites(), n, i) }
+
+// ShardSource describes where an M-rank checkpoint came from: the source
+// decomposition and a way to open each source rank's shard. The md and kmc
+// re-shard loaders open ranks 0..Grid.Ranks()-1 in order and close each
+// returned stream.
+type ShardSource struct {
+	Grid *Grid
+	Open func(rank int) (io.ReadCloser, error)
+}
 
 // Grid is a Cartesian process grid over the lattice cells. By default each
 // dimension is split uniformly (span); a grid built by NewGridCuts instead

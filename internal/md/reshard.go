@@ -3,20 +3,10 @@ package md
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"mdkmc/internal/lattice"
 	"mdkmc/internal/neighbor"
 )
-
-// ShardSource describes where an M-rank checkpoint came from: the source
-// decomposition and a way to open each source rank's shard. Open is called
-// with ranks 0..Grid.Ranks()-1 in order; the caller owns closing semantics
-// through the returned ReadCloser.
-type ShardSource struct {
-	Grid *lattice.Grid
-	Open func(rank int) (io.ReadCloser, error)
-}
 
 // RestoreResharded loads a checkpoint written by an M-rank decomposition
 // into a rank of an N-rank decomposition of the same physical run. Every
@@ -29,7 +19,7 @@ type ShardSource struct {
 // — is deterministic, so every restart onto the same target topology yields
 // the same trajectory; restarts onto the source topology itself should use
 // Restore, which is byte-exact. Collective: every target rank must call it.
-func (r *Rank) RestoreResharded(src ShardSource) error {
+func (r *Rank) RestoreResharded(src lattice.ShardSource) error {
 	if src.Grid == nil || src.Open == nil {
 		return fmt.Errorf("md: reshard source missing grid or shard opener")
 	}
@@ -101,7 +91,7 @@ func (r *Rank) RestoreResharded(src ShardSource) error {
 }
 
 // readShard opens, decodes and validates one source shard.
-func readShard(src ShardSource, rank int) (*checkpoint, error) {
+func readShard(src lattice.ShardSource, rank int) (*checkpoint, error) {
 	rd, err := src.Open(rank)
 	if err != nil {
 		return nil, fmt.Errorf("md: opening shard %d: %w", rank, err)
